@@ -2,8 +2,9 @@
 //! algorithm: training time of BGD vs SGD vs MGD on adult (ε = 0.01),
 //! covtype (ε = 0.01), and rcv1 (ε = 1e-4).
 //!
-//! Substitution note (recorded in EXPERIMENTS.md): the paper runs SVM on
-//! adult and covtype here; we run each dataset's Table 2 task (logistic
+//! Substitution note (recorded in CHANGES.md; the rows in
+//! `results/fig01.json` are for the substituted task): the paper runs SVM
+//! on adult and covtype here; we run each dataset's Table 2 task (logistic
 //! regression). On our synthetic analogs hinge-loss SGD stops at the first
 //! out-of-margin sample (exactly the 4–8-iteration behaviour the paper's
 //! own Table 4 shows on svm1–svm3), which collapses the comparison; the

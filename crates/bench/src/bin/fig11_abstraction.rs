@@ -15,12 +15,43 @@ use ml4all_bench::runs::{params_for, run_plan};
 use ml4all_bench::{build_dataset, print_table, BenchConfig, ExperimentRecord};
 use ml4all_dataflow::{ClusterSpec, SamplingMethod, SimEnv};
 use ml4all_datasets::registry;
-use ml4all_gd::{GdPlan, GdVariant, TransformPolicy};
+use ml4all_gd::operators::GradientCompute;
+use ml4all_gd::{
+    ComputeAcc, ComputeOp, Context, GdPlan, GdVariant, Gradient, GradientKind, TransformPolicy,
+};
+use ml4all_linalg::{FeatureVec, LabeledPoint};
+use std::hint::black_box;
+use std::time::Instant;
 
-/// Dispatch cost per iteration attributed to the operator abstraction
-/// (boxed-trait calls, context lookups): measured in the criterion bench
-/// `abstraction_dispatch`; well under a millisecond.
+/// Dispatch cost per iteration the simulated panel attributes to the
+/// operator abstraction (boxed-trait calls, context lookups); well under a
+/// millisecond. [`dispatch_ns_per_call`] measures the per-point indirection
+/// behind it on the host and prints it beside the tables.
 const DISPATCH_S_PER_ITER: f64 = 2.0e-4;
+
+/// Nanoseconds per call of a direct `GradientKind::Svm.accumulate` and of
+/// the same gradient behind a boxed `GradientCompute` `ComputeOp`, on one
+/// 100-dimensional point.
+fn dispatch_ns_per_call() -> (f64, f64) {
+    const CALLS: u32 = 200_000;
+    let point = LabeledPoint::new(1.0, FeatureVec::dense(vec![0.5; 100]));
+    let mut grad = vec![0.0; 100];
+    let t0 = Instant::now();
+    for _ in 0..CALLS {
+        GradientKind::Svm.accumulate(black_box(&[0.1; 100]), black_box(&point), &mut grad);
+    }
+    let direct = t0.elapsed().as_nanos() as f64 / f64::from(CALLS);
+    let boxed: Box<dyn ComputeOp> = Box::new(GradientCompute::of(GradientKind::Svm));
+    let ctx = Context::new(100);
+    let mut acc = ComputeAcc::new(100);
+    let t0 = Instant::now();
+    for _ in 0..CALLS {
+        boxed.compute(black_box(point.view()), black_box(&ctx), &mut acc);
+    }
+    let boxed_ns = t0.elapsed().as_nanos() as f64 / f64::from(CALLS);
+    black_box((grad[0], acc.count));
+    (direct, boxed_ns)
+}
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -88,10 +119,19 @@ fn main() {
         );
     }
 
+    let (direct_ns, boxed_ns) = dispatch_ns_per_call();
+    println!(
+        "Dispatch per 100-dim point: direct gradient call {direct_ns:.1} ns, \
+         boxed ComputeOp call {boxed_ns:.1} ns"
+    );
+
     ExperimentRecord::new(
         "fig11",
         "Figure 11: abstraction benefits/overhead vs Bismarck",
-        serde_json::Value::Array(json),
+        serde_json::json!({
+            "dispatch_ns_per_call": {"direct": direct_ns, "boxed": boxed_ns},
+            "runs": json,
+        }),
     )
     .write();
 }

@@ -152,7 +152,7 @@ pub fn sweep_dataset(
 /// [`Calibrator`] as it executes (the fitting pass). `predicted_s` is the
 /// chooser's ranking cost — the calibrated total when a snapshot was
 /// supplied, the static model's otherwise.
-pub fn sweep_with(
+fn sweep_with(
     spec: &DatasetSpec,
     max_physical: usize,
     iterations: u64,
@@ -239,7 +239,7 @@ pub fn sweep_with(
 /// reprice early observations against a baseline that no longer exists),
 /// and `min_observations = 1` opens the confidence gate after the one
 /// observation per plan shape the sweep produces.
-pub fn conformance_fit() -> CalibratorConfig {
+fn conformance_fit() -> CalibratorConfig {
     CalibratorConfig {
         alpha: 0.0,
         min_observations: 1,

@@ -2,8 +2,9 @@
 //! evaluation (Section 8 and Appendix E).
 //!
 //! One binary per experiment (see `src/bin/`); each prints the same rows or
-//! series the paper reports and persists a JSON record under `results/` so
-//! EXPERIMENTS.md is regenerable. `run_all` drives the full suite.
+//! series the paper reports and persists a JSON record under `results/`, so
+//! the figures CHANGES.md quotes are regenerable. `run_all` drives the full
+//! suite.
 //!
 //! | Binary | Paper artifact |
 //! |--------|----------------|
@@ -30,8 +31,8 @@ pub mod report;
 pub mod runs;
 
 pub use conformance::{
-    calibration_sweep, conformance_fit, sweep_dataset, sweep_with, CalibrationConformance,
-    CalibrationReport, ConformanceReport, DatasetConformance,
+    calibration_sweep, sweep_dataset, CalibrationConformance, CalibrationReport, ConformanceReport,
+    DatasetConformance,
 };
 pub use harness::{build_dataset, print_table, task_gradient, BenchConfig};
 pub use report::ExperimentRecord;

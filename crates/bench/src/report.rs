@@ -1,5 +1,5 @@
-//! Experiment result records persisted as JSON under `results/` so that
-//! EXPERIMENTS.md numbers are regenerable and diffable.
+//! Experiment result records persisted as JSON under `results/`, so the
+//! figures CHANGES.md quotes are regenerable and diffable.
 
 use std::io::Write;
 use std::path::PathBuf;
