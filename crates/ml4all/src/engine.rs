@@ -71,7 +71,6 @@ struct EngineCore {
     cluster: ClusterSpec,
     speculation: SpeculationConfig,
     registry_cap: usize,
-    tick_every: u64,
     runtime: Arc<Runtime>,
     resolver: SharedResolver,
     models: Mutex<HashMap<String, Model>>,
@@ -148,7 +147,6 @@ impl Engine {
                 cluster,
                 speculation: SpeculationConfig::default(),
                 registry_cap,
-                tick_every: DEFAULT_TICK_EVERY,
                 runtime: Runtime::global(),
                 models: Mutex::new(HashMap::new()),
                 plan_cache: PlanCache::new(),
@@ -227,17 +225,6 @@ impl Engine {
     /// on [`Engine::with_cluster`]).
     pub fn with_catalog_cap(mut self, cap: usize) -> Self {
         self.configure().resolver.set_catalog_cap(cap);
-        self
-    }
-
-    /// Default progress-tick cadence for jobs that don't set their own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
-    pub fn with_tick_every(mut self, every: u64) -> Self {
-        self.configure().tick_every = every;
         self
     }
 
@@ -937,7 +924,7 @@ fn run_train(
         };
         let hooks = ExecHooks {
             cancel: job.map(|j| j.cancel.clone()),
-            tick_every: request.progress_every.unwrap_or(core.tick_every),
+            tick_every: request.progress_every.unwrap_or(DEFAULT_TICK_EVERY),
             on_tick: if job.is_some() { Some(&on_tick) } else { None },
             checkpoint_every,
             on_checkpoint: if checkpoint_every > 0 {

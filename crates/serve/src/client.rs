@@ -1,5 +1,5 @@
 //! A small blocking client for the serving protocol — used by the CLI,
-//! the load generator, and the integration tests.
+//! the benchmark, and the integration tests.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

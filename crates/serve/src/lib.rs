@@ -7,16 +7,15 @@
 //! wire on that: a TCP server speaking length-prefixed JSON frames
 //! ([`protocol`]), per-tenant admission control with typed `busy`
 //! backpressure and deficit-round-robin fairness ([`admission`]), and a
-//! blocking [`client`] used by the CLI, the load generator, and the
-//! tests.
+//! blocking [`client`] used by the CLI, the benchmark, and the tests.
 //!
 //! Connection handling is a single-threaded [`reactor`]: nonblocking
-//! sockets multiplexed over raw `epoll`/`kqueue`/`poll` syscall wrappers
-//! (the workspace is offline-vendored, so no `mio`), an incremental
-//! frame decoder, and push-mode event fan-out — a thousand idle
-//! observers cost file descriptors, not threads. The engine's worker
-//! pool still does the heavy lifting; see [`server`] for the
-//! architecture sketch.
+//! sockets multiplexed over a raw `poll(2)` syscall wrapper (the
+//! workspace is offline-vendored, so no `mio`; serving is unix-only),
+//! an incremental frame decoder, and push-mode event fan-out — a
+//! thousand idle observers cost file descriptors, not threads. The
+//! engine's worker pool still does the heavy lifting; see [`server`]
+//! for the architecture sketch.
 //!
 //! ```no_run
 //! use ml4all::Engine;

@@ -880,8 +880,8 @@ pub struct WireStats {
 /// All counters are monotone except `active_connections`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireServerStats {
-    /// The readiness backend compiled in: `epoll` / `kqueue` / `poll` /
-    /// `tick`.
+    /// The reactor's readiness backend: always `poll`. Kept on the wire
+    /// for compatibility with clients that read it.
     pub backend: String,
     /// Connections currently registered with the reactor (including the
     /// one asking).

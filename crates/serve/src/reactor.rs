@@ -1,24 +1,30 @@
-//! Readiness polling for the serving reactor, with zero crate
-//! dependencies (the same no-crate syscall precedent as the slab
-//! `mmap` wrapper in `ml4all-dataflow`).
+//! Readiness polling for the serving reactor: one `poll(2)` loop over a
+//! registration table, with zero crate dependencies (the same no-crate
+//! syscall precedent as the slab `mmap` wrapper in `ml4all-dataflow`).
 //!
-//! One [`Poller`] instance backs the whole server. The backend is
-//! chosen at compile time:
+//! One [`Poller`] instance backs the whole server. Each
+//! [`Poller::wait`] rebuilds the `pollfd` array from the table, so
+//! registering or re-arming a source is a map update, not a syscall.
+//! Readiness is level-triggered: a source stays reported while it has
+//! data (or room, for writers) and its interest asks for it.
 //!
-//! - **Linux** — raw `epoll` (level-triggered), the production path;
-//! - **macOS / iOS / FreeBSD / NetBSD / OpenBSD** — raw `kqueue`;
-//! - **other Unix** — a `poll(2)` loop rebuilt from the registration
-//!   table per wait;
-//! - **non-Unix** — a tick loop that reports every registered source
-//!   ready on a short cadence; correctness then rests entirely on the
-//!   sockets being nonblocking (reads return `WouldBlock` when idle).
+//! `poll(2)` has no portable read-hang-up flag: a peer's close or
+//! half-close surfaces as `readable`, with a read returning `Ok(0)`,
+//! only while read interest is on. A connection parked behind a full
+//! inbox therefore sees it when reads resume. Socket errors and
+//! `POLLHUP` are reported whatever the interest.
 //!
-//! Cross-thread wake-ups use the classic self-pipe trick (an atomic
-//! flag plus short sleeps on the tick backend): [`Waker::wake`] is
-//! safe from any thread, including the engine's worker threads pushing
-//! job events at the reactor.
+//! Cross-thread wake-ups use the classic self-pipe trick:
+//! [`Waker::wake`] is safe from any thread, including the engine's
+//! worker threads pushing job events at the reactor.
 
+#[cfg(not(unix))]
+compile_error!("ml4all-serve needs a unix target: its reactor is built on poll(2)");
+
+use std::collections::HashMap;
 use std::io;
+use std::os::unix::io::RawFd;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a registered source is currently interested in.
@@ -41,17 +47,6 @@ impl Interest {
         read: true,
         write: true,
     };
-    /// Write-only interest (a paused reader still draining its
-    /// responses).
-    pub const WRITE: Self = Self {
-        read: false,
-        write: true,
-    };
-    /// No interest (parked; kept registered for cheap re-arming).
-    pub const NONE: Self = Self {
-        read: false,
-        write: false,
-    };
 }
 
 /// One readiness event out of [`Poller::wait`].
@@ -59,69 +54,131 @@ impl Interest {
 pub struct Event {
     /// The token the source was registered under.
     pub token: u64,
-    /// Reading will make progress (data, EOF, or an error to observe).
+    /// Reading will make progress: data, EOF (a peer's close or
+    /// half-close), or an error to observe and close on.
     pub readable: bool,
     /// Writing will make progress.
     pub writable: bool,
-    /// The peer hung up or the source errored; the owner should read to
-    /// observe the failure and close.
-    pub hangup: bool,
 }
 
-/// The reactor's readiness source. See the module docs for backends.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+/// `nfds_t`: `unsigned long` on Linux and Android, `unsigned int` on
+/// macOS and the BSDs.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+type NfdsT = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+    fn pipe(fds: *mut i32) -> i32;
+    fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
+    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn close(fd: i32) -> i32;
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+
+const F_GETFL: i32 = 3;
+const F_SETFL: i32 = 4;
+#[cfg(target_os = "linux")]
+const O_NONBLOCK: i32 = 0o4000;
+#[cfg(not(target_os = "linux"))]
+const O_NONBLOCK: i32 = 0x4;
+
+/// The reactor's readiness source.
 pub struct Poller {
-    inner: imp::Poller,
+    /// Read end of the nonblocking self-pipe; always polled first.
+    wake_fd: RawFd,
+    wake_write: Arc<WakeWriteEnd>,
+    /// fd → (token, interest).
+    registered: HashMap<RawFd, (u64, Interest)>,
+    buf: Vec<PollFd>,
+}
+
+/// The self-pipe's write end, closed when the poller and every
+/// [`Waker`] are gone.
+struct WakeWriteEnd(RawFd);
+
+impl Drop for WakeWriteEnd {
+    fn drop(&mut self) {
+        // SAFETY: the fd came from `pipe` and only this owner closes it.
+        unsafe { close(self.0) };
+    }
 }
 
 /// A cheap, cloneable cross-thread handle that interrupts
 /// [`Poller::wait`].
 #[derive(Clone)]
-pub struct Waker {
-    inner: imp::Waker,
-}
+pub struct Waker(Arc<WakeWriteEnd>);
 
 impl Waker {
     /// Interrupt the poller's current (or next) wait. Safe from any
     /// thread; coalesces — a thousand wakes cost one wake-up.
     pub fn wake(&self) {
-        self.inner.wake();
+        let byte = 1u8;
+        // SAFETY: the write end stays open while this Arc lives, and the
+        // buffer is one valid byte. A full pipe (EAGAIN) already
+        // guarantees a pending wake-up.
+        let _ = unsafe { write(self.0 .0, &byte, 1) };
     }
 }
 
 impl Poller {
-    /// Open a poller (and its internal wake-up channel).
+    /// Open a poller (and its internal wake-up pipe).
     pub fn new() -> io::Result<Self> {
+        let mut fds = [0i32; 2];
+        // SAFETY: `fds` has room for the two descriptors `pipe` writes.
+        if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        for fd in fds {
+            // SAFETY: `fd` is an open pipe end owned by this function.
+            let flags = unsafe { fcntl(fd, F_GETFL, 0) };
+            // SAFETY: as above.
+            if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
+                let err = io::Error::last_os_error();
+                // SAFETY: both ends are open and owned by nobody else yet.
+                unsafe {
+                    close(fds[0]);
+                    close(fds[1]);
+                }
+                return Err(err);
+            }
+        }
         Ok(Self {
-            inner: imp::Poller::new()?,
+            wake_fd: fds[0],
+            wake_write: Arc::new(WakeWriteEnd(fds[1])),
+            registered: HashMap::new(),
+            buf: Vec::new(),
         })
-    }
-
-    /// The compile-time backend name, surfaced in server stats:
-    /// `"epoll"`, `"kqueue"`, `"poll"`, or `"tick"`.
-    pub fn backend(&self) -> &'static str {
-        imp::BACKEND
     }
 
     /// A handle other threads use to interrupt [`Poller::wait`].
     pub fn waker(&self) -> Waker {
-        Waker {
-            inner: self.inner.waker(),
-        }
+        Waker(Arc::clone(&self.wake_write))
     }
 
-    /// Start watching `source` under `token`.
-    pub fn register(&mut self, source: Source, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.register(source, token, interest)
+    /// Watch `fd` under `token` with `interest`, replacing any earlier
+    /// registration of `fd`. Takes effect at the next [`Poller::wait`].
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) {
+        self.registered.insert(fd, (token, interest));
     }
 
-    /// Change what an already-registered source is interested in.
-    pub fn update(&mut self, source: Source, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.update(source, token, interest)
-    }
-
-    /// Stop watching `source` (call before closing it).
-    pub fn deregister(&mut self, source: Source) -> io::Result<()> {
-        self.inner.deregister(source)
+    /// Stop watching `fd` (call before closing it).
+    pub fn deregister(&mut self, fd: RawFd) {
+        self.registered.remove(&fd);
     }
 
     /// Block until at least one source is ready, a waker fires, or
@@ -133,781 +190,82 @@ impl Poller {
         timeout: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
-        self.inner.wait(events, timeout)
-    }
-}
-
-/// The platform handle a source is registered by: a raw file
-/// descriptor on Unix, the token itself on the tick backend.
-#[cfg(unix)]
-pub type Source = std::os::unix::io::RawFd;
-#[cfg(not(unix))]
-pub type Source = u64;
-
-/// The poller source of a TCP stream.
-#[cfg(unix)]
-pub fn source_of(stream: &std::net::TcpStream, _token: u64) -> Source {
-    use std::os::unix::io::AsRawFd;
-    stream.as_raw_fd()
-}
-
-/// On the tick backend every registered token is reported ready each
-/// cadence, so the token doubles as the source.
-#[cfg(not(unix))]
-pub fn source_of(_stream: &std::net::TcpStream, token: u64) -> Source {
-    token
-}
-
-/// The poller source of a TCP listener.
-#[cfg(unix)]
-pub fn source_of_listener(listener: &std::net::TcpListener, _token: u64) -> Source {
-    use std::os::unix::io::AsRawFd;
-    listener.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-pub fn source_of_listener(_listener: &std::net::TcpListener, token: u64) -> Source {
-    token
-}
-
-// ---------------------------------------------------------------------
-// Self-pipe plumbing shared by the Unix backends
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-mod pipe {
-    use std::io;
-    use std::sync::Arc;
-
-    extern "C" {
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
-    }
-
-    const F_GETFL: i32 = 3;
-    const F_SETFL: i32 = 4;
-    #[cfg(target_os = "linux")]
-    const O_NONBLOCK: i32 = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: i32 = 0x4;
-
-    /// A nonblocking self-pipe: `notify` writes one byte, `drain` empties
-    /// the read side. Both ends close on drop.
-    pub struct SelfPipe {
-        read_fd: i32,
-        write_fd: Arc<WriteEnd>,
-    }
-
-    struct WriteEnd(i32);
-
-    impl Drop for WriteEnd {
-        fn drop(&mut self) {
-            unsafe { close(self.0) };
-        }
-    }
-
-    impl SelfPipe {
-        pub fn new() -> io::Result<Self> {
-            let mut fds = [0i32; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
-                return Err(io::Error::last_os_error());
+        self.buf.clear();
+        self.buf.push(PollFd {
+            fd: self.wake_fd,
+            events: POLLIN,
+            revents: 0,
+        });
+        for (fd, (_, interest)) in &self.registered {
+            let mut mask = 0;
+            if interest.read {
+                mask |= POLLIN;
             }
-            for fd in fds {
-                let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-                if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
-                    let err = io::Error::last_os_error();
-                    unsafe {
-                        close(fds[0]);
-                        close(fds[1]);
-                    }
-                    return Err(err);
-                }
+            if interest.write {
+                mask |= POLLOUT;
             }
-            Ok(Self {
-                read_fd: fds[0],
-                write_fd: Arc::new(WriteEnd(fds[1])),
-            })
-        }
-
-        pub fn read_fd(&self) -> i32 {
-            self.read_fd
-        }
-
-        pub fn notifier(&self) -> Notifier {
-            Notifier(Arc::clone(&self.write_fd))
-        }
-
-        /// Empty the pipe (the wake-ups coalesce into one loop turn).
-        pub fn drain(&self) {
-            let mut buf = [0u8; 64];
-            loop {
-                let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-                if n <= 0 {
-                    // EAGAIN (empty) or error either way: drained enough.
-                    return;
-                }
-            }
-        }
-    }
-
-    impl Drop for SelfPipe {
-        fn drop(&mut self) {
-            unsafe { close(self.read_fd) };
-        }
-    }
-
-    /// The write end, cloneable across threads.
-    #[derive(Clone)]
-    pub struct Notifier(Arc<WriteEnd>);
-
-    impl Notifier {
-        pub fn notify(&self) {
-            let byte = 1u8;
-            // A full pipe (EAGAIN) already guarantees a pending wake-up.
-            let _ = unsafe { write(self.0 .0, &byte, 1) };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Linux: epoll
-// ---------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::pipe::{Notifier, SelfPipe};
-    use super::{Event, Interest, Source};
-    use std::io;
-    use std::time::Duration;
-
-    pub const BACKEND: &str = "epoll";
-
-    // The kernel ABI packs epoll_event on x86-64 only.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// The waker's reserved token; never surfaced to the caller.
-    const WAKER_TOKEN: u64 = u64::MAX;
-
-    pub struct Poller {
-        epfd: i32,
-        pipe: SelfPipe,
-        buf: Vec<EpollEvent>,
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Notifier);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.notify();
-        }
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut events = EPOLLRDHUP;
-        if interest.read {
-            events |= EPOLLIN;
-        }
-        if interest.write {
-            events |= EPOLLOUT;
-        }
-        events
-    }
-
-    fn ctl(epfd: i32, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
-        let mut event = EpollEvent {
-            events,
-            data: token,
-        };
-        if unsafe { epoll_ctl(epfd, op, fd, &mut event) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let pipe = match SelfPipe::new() {
-                Ok(pipe) => pipe,
-                Err(e) => {
-                    unsafe { close(epfd) };
-                    return Err(e);
-                }
-            };
-            let poller = Self {
-                epfd,
-                buf: Vec::with_capacity(256),
-                pipe,
-            };
-            ctl(
-                poller.epfd,
-                EPOLL_CTL_ADD,
-                poller.pipe.read_fd(),
-                EPOLLIN,
-                WAKER_TOKEN,
-            )?;
-            Ok(poller)
-        }
-
-        pub fn waker(&self) -> Waker {
-            Waker(self.pipe.notifier())
-        }
-
-        pub fn register(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            ctl(self.epfd, EPOLL_CTL_ADD, fd, mask(interest), token)
-        }
-
-        pub fn update(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            ctl(self.epfd, EPOLL_CTL_MOD, fd, mask(interest), token)
-        }
-
-        pub fn deregister(&mut self, fd: Source) -> io::Result<()> {
-            ctl(self.epfd, EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let timeout_ms = timeout
-                .map(|t| i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX))
-                .unwrap_or(-1);
-            self.buf.resize(256, EpollEvent { events: 0, data: 0 });
-            let n = loop {
-                let n = unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as i32,
-                        timeout_ms,
-                    )
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for raw in &self.buf[..n] {
-                let (events, data) = (raw.events, raw.data);
-                if data == WAKER_TOKEN {
-                    self.pipe.drain();
-                    continue;
-                }
-                out.push(Event {
-                    token: data,
-                    readable: events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0,
-                    writable: events & (EPOLLOUT | EPOLLERR) != 0,
-                    hangup: events & (EPOLLHUP | EPOLLERR) != 0,
-                });
-            }
-            Ok(out.len())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { close(self.epfd) };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// macOS / BSDs: kqueue
-// ---------------------------------------------------------------------
-
-#[cfg(any(
-    target_os = "macos",
-    target_os = "ios",
-    target_os = "freebsd",
-    target_os = "netbsd",
-    target_os = "openbsd"
-))]
-mod imp {
-    use super::pipe::{Notifier, SelfPipe};
-    use super::{Event, Interest, Source};
-    use std::io;
-    use std::time::Duration;
-
-    pub const BACKEND: &str = "kqueue";
-
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct KEvent {
-        ident: usize,
-        filter: i16,
-        flags: u16,
-        fflags: u32,
-        data: isize,
-        udata: u64,
-    }
-
-    extern "C" {
-        fn kqueue() -> i32;
-        fn kevent(
-            kq: i32,
-            changelist: *const KEvent,
-            nchanges: i32,
-            eventlist: *mut KEvent,
-            nevents: i32,
-            timeout: *const Timespec,
-        ) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    const EVFILT_READ: i16 = -1;
-    const EVFILT_WRITE: i16 = -2;
-    const EV_ADD: u16 = 0x1;
-    const EV_DELETE: u16 = 0x2;
-    const EV_ERROR: u16 = 0x4000;
-    const EV_EOF: u16 = 0x8000;
-
-    const WAKER_TOKEN: u64 = u64::MAX;
-
-    pub struct Poller {
-        kq: i32,
-        pipe: SelfPipe,
-        buf: Vec<KEvent>,
-        /// fd → (token, interest), to diff on update/deregister.
-        registered: std::collections::HashMap<i32, (u64, Interest)>,
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Notifier);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.notify();
-        }
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            let kq = unsafe { kqueue() };
-            if kq < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let pipe = match SelfPipe::new() {
-                Ok(pipe) => pipe,
-                Err(e) => {
-                    unsafe { close(kq) };
-                    return Err(e);
-                }
-            };
-            let mut poller = Self {
-                kq,
-                buf: Vec::with_capacity(256),
-                registered: std::collections::HashMap::new(),
-                pipe,
-            };
-            poller.filter(poller.pipe.read_fd(), EVFILT_READ, EV_ADD, WAKER_TOKEN)?;
-            Ok(poller)
-        }
-
-        pub fn waker(&self) -> Waker {
-            Waker(self.pipe.notifier())
-        }
-
-        fn filter(&mut self, fd: i32, filter: i16, flags: u16, token: u64) -> io::Result<()> {
-            let change = KEvent {
-                ident: fd as usize,
-                filter,
-                flags,
-                fflags: 0,
-                data: 0,
-                udata: token,
-            };
-            let rc = unsafe {
-                kevent(
-                    self.kq,
-                    &change,
-                    1,
-                    std::ptr::null_mut(),
-                    0,
-                    std::ptr::null(),
-                )
-            };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                // Deleting an absent filter is the common no-op.
-                if flags & EV_DELETE != 0 && err.raw_os_error() == Some(2) {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            Ok(())
-        }
-
-        fn apply(&mut self, fd: i32, token: u64, old: Interest, new: Interest) -> io::Result<()> {
-            if new.read && !old.read {
-                self.filter(fd, EVFILT_READ, EV_ADD, token)?;
-            } else if !new.read && old.read {
-                self.filter(fd, EVFILT_READ, EV_DELETE, token)?;
-            }
-            if new.write && !old.write {
-                self.filter(fd, EVFILT_WRITE, EV_ADD, token)?;
-            } else if !new.write && old.write {
-                self.filter(fd, EVFILT_WRITE, EV_DELETE, token)?;
-            }
-            Ok(())
-        }
-
-        pub fn register(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.apply(fd, token, Interest::NONE, interest)?;
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn update(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            let old = self
-                .registered
-                .get(&fd)
-                .map(|(_, i)| *i)
-                .unwrap_or(Interest::NONE);
-            self.apply(fd, token, old, interest)?;
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: Source) -> io::Result<()> {
-            if let Some((token, old)) = self.registered.remove(&fd) {
-                self.apply(fd, token, old, Interest::NONE)?;
-            }
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let spec = timeout.map(|t| Timespec {
-                tv_sec: t.as_secs() as i64,
-                tv_nsec: i64::from(t.subsec_nanos()),
-            });
-            self.buf.resize(
-                256,
-                KEvent {
-                    ident: 0,
-                    filter: 0,
-                    flags: 0,
-                    fflags: 0,
-                    data: 0,
-                    udata: 0,
-                },
-            );
-            let n = loop {
-                let n = unsafe {
-                    kevent(
-                        self.kq,
-                        std::ptr::null(),
-                        0,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as i32,
-                        spec.as_ref()
-                            .map(|s| s as *const Timespec)
-                            .unwrap_or(std::ptr::null()),
-                    )
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for raw in &self.buf[..n] {
-                if raw.udata == WAKER_TOKEN {
-                    self.pipe.drain();
-                    continue;
-                }
-                let hangup = raw.flags & (EV_EOF | EV_ERROR) != 0;
-                out.push(Event {
-                    token: raw.udata,
-                    readable: raw.filter == EVFILT_READ || hangup,
-                    writable: raw.filter == EVFILT_WRITE,
-                    hangup,
-                });
-            }
-            Ok(out.len())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { close(self.kq) };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Other Unix: poll(2) loop
-// ---------------------------------------------------------------------
-
-#[cfg(all(
-    unix,
-    not(any(
-        target_os = "linux",
-        target_os = "macos",
-        target_os = "ios",
-        target_os = "freebsd",
-        target_os = "netbsd",
-        target_os = "openbsd"
-    ))
-))]
-mod imp {
-    use super::pipe::{Notifier, SelfPipe};
-    use super::{Event, Interest, Source};
-    use std::collections::HashMap;
-    use std::io;
-    use std::time::Duration;
-
-    pub const BACKEND: &str = "poll";
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    pub struct Poller {
-        pipe: SelfPipe,
-        registered: HashMap<i32, (u64, Interest)>,
-        buf: Vec<PollFd>,
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Notifier);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.notify();
-        }
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                pipe: SelfPipe::new()?,
-                registered: HashMap::new(),
-                buf: Vec::new(),
-            })
-        }
-
-        pub fn waker(&self) -> Waker {
-            Waker(self.pipe.notifier())
-        }
-
-        pub fn register(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn update(&mut self, fd: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: Source) -> io::Result<()> {
-            self.registered.remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            self.buf.clear();
             self.buf.push(PollFd {
-                fd: self.pipe.read_fd(),
-                events: POLLIN,
+                fd: *fd,
+                events: mask,
                 revents: 0,
             });
-            for (fd, (_, interest)) in &self.registered {
-                let mut events = 0;
-                if interest.read {
-                    events |= POLLIN;
-                }
-                if interest.write {
-                    events |= POLLOUT;
-                }
-                self.buf.push(PollFd {
-                    fd: *fd,
-                    events,
-                    revents: 0,
-                });
+        }
+        let timeout_ms = timeout
+            .map(|t| i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX))
+            .unwrap_or(-1);
+        let nfds = NfdsT::try_from(self.buf.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "too many poll sources"))?;
+        let rc = loop {
+            // SAFETY: `buf` holds exactly `nfds` initialized `pollfd`s and
+            // stays borrowed (unmoved) for the call.
+            let rc = unsafe { poll(self.buf.as_mut_ptr(), nfds, timeout_ms) };
+            if rc >= 0 {
+                break rc;
             }
-            let timeout_ms = timeout
-                .map(|t| i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX))
-                .unwrap_or(-1);
-            let rc = loop {
-                let rc = unsafe { poll(self.buf.as_mut_ptr(), self.buf.len() as u64, timeout_ms) };
-                if rc >= 0 {
-                    break rc;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            if rc == 0 {
-                return Ok(0);
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
-            if self.buf[0].revents != 0 {
-                self.pipe.drain();
+        };
+        if rc == 0 {
+            return Ok(0);
+        }
+        if self.buf[0].revents != 0 {
+            self.drain_wakes();
+        }
+        for raw in &self.buf[1..] {
+            if raw.revents == 0 {
+                continue;
             }
-            for raw in &self.buf[1..] {
-                if raw.revents == 0 {
-                    continue;
-                }
-                let (token, _) = self.registered[&raw.fd];
-                let hangup = raw.revents & (POLLHUP | POLLERR) != 0;
-                out.push(Event {
-                    token,
-                    readable: raw.revents & (POLLIN | POLLHUP | POLLERR) != 0,
-                    writable: raw.revents & (POLLOUT | POLLERR) != 0,
-                    hangup,
-                });
+            let (token, _) = self.registered[&raw.fd];
+            events.push(Event {
+                token,
+                readable: raw.revents & (POLLIN | POLLHUP | POLLERR) != 0,
+                writable: raw.revents & (POLLOUT | POLLERR) != 0,
+            });
+        }
+        Ok(events.len())
+    }
+
+    /// Empty the wake-up pipe (the wakes coalesce into one loop turn).
+    fn drain_wakes(&self) {
+        let mut buf = [0u8; 64];
+        loop {
+            // SAFETY: `wake_fd` is open for the poller's lifetime and
+            // `buf` is a valid writable buffer of the length passed.
+            let n = unsafe { read(self.wake_fd, buf.as_mut_ptr(), buf.len()) };
+            if n <= 0 {
+                // EAGAIN (empty) or error either way: drained enough.
+                return;
             }
-            Ok(out.len())
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Non-Unix: tick loop
-// ---------------------------------------------------------------------
-
-#[cfg(not(unix))]
-mod imp {
-    use super::{Event, Interest, Source};
-    use std::collections::HashMap;
-    use std::io;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    pub const BACKEND: &str = "tick";
-
-    /// Reported readiness cadence while blocked.
-    const TICK: Duration = Duration::from_millis(2);
-
-    pub struct Poller {
-        registered: HashMap<Source, (u64, Interest)>,
-        woken: Arc<AtomicBool>,
-    }
-
-    #[derive(Clone)]
-    pub struct Waker(Arc<AtomicBool>);
-
-    impl Waker {
-        pub fn wake(&self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: HashMap::new(),
-                woken: Arc::new(AtomicBool::new(false)),
-            })
-        }
-
-        pub fn waker(&self) -> Waker {
-            Waker(Arc::clone(&self.woken))
-        }
-
-        pub fn register(&mut self, s: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(s, (token, interest));
-            Ok(())
-        }
-
-        pub fn update(&mut self, s: Source, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered.insert(s, (token, interest));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, s: Source) -> io::Result<()> {
-            self.registered.remove(&s);
-            Ok(())
-        }
-
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            // One short sleep keeps the loop from spinning; nonblocking
-            // sockets make the "everything is ready" report harmless.
-            if !self.woken.swap(false, Ordering::Acquire) {
-                std::thread::sleep(timeout.map(|t| t.min(TICK)).unwrap_or(TICK));
-                self.woken.store(false, Ordering::Release);
-            }
-            for (_, (token, interest)) in &self.registered {
-                if interest.read || interest.write {
-                    out.push(Event {
-                        token: *token,
-                        readable: interest.read,
-                        writable: interest.write,
-                        hangup: false,
-                    });
-                }
-            }
-            Ok(out.len())
-        }
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: the poller owns the read end and closes it once.
+        unsafe { close(self.wake_fd) };
     }
 }
 
@@ -916,6 +274,7 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::os::unix::io::AsRawFd;
     use std::time::Duration;
 
     #[test]
@@ -923,19 +282,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let mut poller = Poller::new().unwrap();
-        poller
-            .register(source_of_listener(&listener, 1), 1, Interest::READ)
-            .unwrap();
+        poller.register(listener.as_raw_fd(), 1, Interest::READ);
 
-        // No client yet: a short wait returns no events (tick backend may
-        // report readiness, but accept would WouldBlock — skip there).
+        // No client yet: a short wait returns no events.
         let mut events = Vec::new();
-        if poller.backend() != "tick" {
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert!(events.iter().all(|e| e.token != 1 || !e.readable));
-        }
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.iter().all(|e| e.token != 1 || !e.readable));
 
         // A connecting client makes the listener readable.
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -954,9 +308,7 @@ mod tests {
         assert!(ready, "listener never became readable");
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
-        poller
-            .register(source_of(&server_side, 2), 2, Interest::READ)
-            .unwrap();
+        poller.register(server_side.as_raw_fd(), 2, Interest::READ);
 
         // Data from the client makes the accepted stream readable.
         client.write_all(b"ping").unwrap();
@@ -980,9 +332,7 @@ mod tests {
 
         // Write interest on an idle socket fires immediately (buffer has
         // room).
-        poller
-            .update(source_of(&server_side, 2), 2, Interest::BOTH)
-            .unwrap();
+        poller.register(server_side.as_raw_fd(), 2, Interest::BOTH);
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
             poller
@@ -996,10 +346,28 @@ mod tests {
                 "stream never writable"
             );
         }
-        poller.deregister(source_of(&server_side, 2)).unwrap();
 
-        // EOF after deregistration must not resurface token 2.
+        // A client closing a READ-registered stream makes it readable,
+        // and the read returns EOF: no separate hang-up flag is needed.
+        poller.register(server_side.as_raw_fd(), 2, Interest::READ);
         drop(client);
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        loop {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(50)))
+                .unwrap();
+            if events.iter().any(|e| e.token == 2 && e.readable) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "closed stream never readable"
+            );
+        }
+        assert_eq!(stream.read(&mut buf).unwrap(), 0);
+        poller.deregister(server_side.as_raw_fd());
+
+        // A source at EOF after deregistration must not resurface token 2.
         poller
             .wait(&mut events, Some(Duration::from_millis(20)))
             .unwrap();

@@ -4,11 +4,11 @@
 //! ## Architecture
 //!
 //! ```text
-//!                 ┌────────────────────────────────────────────┐
-//!  TCP clients ──▶│ reactor thread (epoll/kqueue/poll, 1 thread)│
+//!                 ┌─────────────────────────────────────────────┐
+//!  TCP clients ──▶│ reactor thread (poll(2), 1 thread)          │
 //!                 │  accept · decode · verbs · admission drain  │
 //!                 │  observer fan-out · bounded write buffers   │
-//!                 └───────┬───────────────▲────────────────────┘
+//!                 └───────┬───────────────▲─────────────────────┘
 //!                         │ Explain/Predict│ Action queue + waker
 //!                 ┌───────▼───────┐ ┌──────┴──────────────────┐
 //!                 │ verb pool     │ │ engine worker pool      │
@@ -48,6 +48,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -62,7 +63,7 @@ use crate::protocol::{
     WireEvent, WireJob, WireServerStats, WireStats, WireTrained, DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
 };
-use crate::reactor::{source_of, source_of_listener, Event, Interest, Poller, Waker};
+use crate::reactor::{Event, Interest, Poller, Waker};
 
 /// Server configuration: address, framing cap, and admission policy.
 #[derive(Debug, Clone)]
@@ -194,7 +195,6 @@ struct Shared {
     actions: Mutex<VecDeque<Action>>,
     waker: Waker,
     counters: Counters,
-    backend: &'static str,
 }
 
 impl Shared {
@@ -225,11 +225,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let mut poller = Poller::new()?;
-        poller.register(
-            source_of_listener(&listener, LISTENER_TOKEN),
-            LISTENER_TOKEN,
-            Interest::READ,
-        )?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
         let admission = Admission::new(
             config.drr_quantum,
             config.global_in_flight,
@@ -238,7 +234,6 @@ impl Server {
         for (tenant, quota) in &config.tenant_quotas {
             admission.set_quota(tenant, *quota);
         }
-        let backend = poller.backend();
         let waker = poller.waker();
         let verb_workers = config.verb_workers.max(1);
         let shared = Arc::new(Shared {
@@ -252,7 +247,6 @@ impl Server {
             actions: Mutex::new(VecDeque::new()),
             waker,
             counters: Counters::default(),
-            backend,
         });
         let (verb_tx, verb_rx) = mpsc::channel::<VerbTask>();
         let verb_rx = Arc::new(Mutex::new(verb_rx));
@@ -690,13 +684,8 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self
-                        .poller
-                        .register(source_of(&stream, token), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
+                    self.poller
+                        .register(stream.as_raw_fd(), token, Interest::READ);
                     self.conns.insert(
                         token,
                         Conn::new(stream, token, self.shared.config.max_frame),
@@ -720,7 +709,7 @@ impl Reactor {
     // -- per-connection readiness -------------------------------------
 
     fn conn_ready(&mut self, event: Event) {
-        if event.readable || event.hangup {
+        if event.readable {
             self.readable(event.token);
         }
         if self.conns.contains_key(&event.token) && event.writable {
@@ -953,7 +942,7 @@ impl Reactor {
             Request::ServerStats => {
                 let c = &self.shared.counters;
                 let response = Response::Ok(Payload::ServerStats(WireServerStats {
-                    backend: self.shared.backend.to_string(),
+                    backend: "poll".to_string(),
                     active_connections: c.active_connections.load(Ordering::Relaxed),
                     total_connections: c.total_connections.load(Ordering::Relaxed),
                     wakeups: c.wakeups.load(Ordering::Relaxed),
@@ -1308,12 +1297,8 @@ impl Reactor {
             return;
         };
         let want = conn.desired_interest();
-        if want != conn.interest
-            && self
-                .poller
-                .update(source_of(&conn.stream, token), token, want)
-                .is_ok()
-        {
+        if want != conn.interest {
+            self.poller.register(conn.stream.as_raw_fd(), token, want);
             conn.interest = want;
         }
     }
@@ -1387,7 +1372,7 @@ impl Reactor {
         let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        let _ = self.poller.deregister(source_of(&conn.stream, token));
+        self.poller.deregister(conn.stream.as_raw_fd());
         if let Some(job_id) = conn.pending.as_ref().and_then(PendingVerb::job_id) {
             if let Some(waiting) = self.waiters.get_mut(&job_id) {
                 waiting.retain(|t| *t != token);

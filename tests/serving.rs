@@ -455,7 +455,9 @@ fn byte_at_a_time_and_pipelined_frames_get_correct_responses() {
 fn half_open_connections_are_reaped_without_protocol_errors() {
     let server = serve(Engine::new(), ServeConfig::default());
     let mut control = connect(&server, "ops");
-    let baseline = control.server_stats().expect("stats").active_connections;
+    let stats = control.server_stats().expect("stats");
+    assert_eq!(stats.backend, "poll");
+    let baseline = stats.active_connections;
 
     // Eight peers send a partial frame header and then vanish. The
     // partial header is not a protocol error — the peer is simply gone
