@@ -181,7 +181,7 @@ impl From<ml4all_dataflow::DataflowError> for SourceError {
 pub struct SourceResolver<'a> {
     /// Base directory for relative file paths.
     pub data_dir: &'a Path,
-    /// Session-registered in-memory datasets.
+    /// Engine-registered in-memory datasets.
     pub catalog: &'a HashMap<String, PartitionedDataset>,
     /// Physical row cap when materializing registry analogs.
     pub registry_cap: usize,

@@ -46,11 +46,6 @@ impl DenseVector {
         &mut self.0
     }
 
-    /// Consume into the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.0
-    }
-
     /// Dot product with another dense vector.
     pub fn dot(&self, other: &Self) -> Result<f64, LinalgError> {
         if self.dim() != other.dim() {

@@ -4,8 +4,8 @@
 //! verb takes `&self`, jobs submitted with [`Engine::submit`] multiplex
 //! onto the shared `ml4all-runtime` worker pool, and all mutable state —
 //! the model registry, the dataset catalog, the plan cache — lives behind
-//! interior locks. [`crate::Session`] is a thin statement-language wrapper
-//! over this type.
+//! interior locks. [`Engine::execute`] runs one Appendix A statement
+//! over the same machinery.
 //!
 //! Concurrency never perturbs results: each job's execution is
 //! deterministic at any worker count (see `ml4all-runtime`), so N jobs
@@ -17,7 +17,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ml4all_calibrate::{profile_path, Calibrator, CalibratorConfig, JobObservation, ReplanPolicy};
+use ml4all_calibrate::{
+    profile_path, CalibrateError, Calibrator, CalibratorConfig, JobObservation, ReplanPolicy,
+};
 use ml4all_core::calibration::{plan_feature_key, CalibrationSnapshot};
 use ml4all_core::chooser::{
     backend_for, choose_plan, profile_choice, IterationsSource, OptimizerConfig, OptimizerReport,
@@ -32,7 +34,7 @@ use ml4all_dataflow::{
 use ml4all_datasets::catalog::{EvictedDataset, SharedResolver};
 use ml4all_gd::{execute_plan_observed, ExecHooks, IterationTick, StopReason};
 
-use crate::job::{JobEvent, JobHandle, JobInfo, JobState, JobStatus};
+use crate::job::{ChannelSink, EventSink, JobEvent, JobHandle, JobInfo, JobState, JobStatus};
 use crate::model::Model;
 use crate::request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
 use crate::session::{Predictions, TrainSummary, Trained};
@@ -46,11 +48,6 @@ const DEFAULT_TICK_EVERY: u64 = 100;
 
 /// Tenant tag for jobs submitted through plain [`Engine::submit`].
 const LOCAL_TENANT: &str = "local";
-
-/// Environment pin: when set to `1`, [`Engine::with_calibration`] is a
-/// no-op and every decision uses the static Eq. 3–9 cost model — the
-/// escape hatch when a learned profile must be ruled out.
-pub const ML4ALL_NO_CALIBRATION: &str = "ML4ALL_NO_CALIBRATION";
 
 /// Terminal job records retained in the [`Engine::jobs`] table: beyond
 /// this, the oldest finished records are pruned on submission so a
@@ -129,17 +126,13 @@ impl Default for Engine {
 impl Engine {
     /// An engine on the paper's simulated testbed, reading data files
     /// relative to the current directory.
-    pub fn new() -> Self {
-        Self::with_cluster(ClusterSpec::paper_testbed())
-    }
-
-    /// An engine on a custom cluster.
     ///
     /// **Builder contract:** the `with_*` methods reconfigure the engine
     /// in place and compose in any order, but they require exclusive
-    /// ownership — call them *before* cloning the engine, wrapping it in
-    /// another holder, or submitting jobs; afterwards they panic.
-    pub fn with_cluster(cluster: ClusterSpec) -> Self {
+    /// ownership — call them *before* cloning the engine or submitting
+    /// jobs; afterwards they panic.
+    pub fn new() -> Self {
+        let cluster = ClusterSpec::paper_testbed();
         let registry_cap = 4000;
         Self {
             core: Arc::new(EngineCore {
@@ -183,7 +176,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
+    /// on [`Engine::new`]).
     pub fn with_data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.configure().resolver.set_data_dir(dir);
         self
@@ -194,7 +187,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
+    /// on [`Engine::new`]).
     pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
         self.configure().speculation = speculation;
         self
@@ -207,24 +200,11 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
+    /// on [`Engine::new`]).
     pub fn with_registry_cap(mut self, cap: usize) -> Self {
         let core = self.configure();
         core.registry_cap = cap;
         core.resolver.set_registry_cap(cap);
-        self
-    }
-
-    /// Cap the registered-dataset catalog (LRU eviction beyond the cap;
-    /// see [`Engine::register_dataset`]). Shrinking below the current
-    /// occupancy evicts down immediately, LRU-first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
-    pub fn with_catalog_cap(mut self, cap: usize) -> Self {
-        self.configure().resolver.set_catalog_cap(cap);
         self
     }
 
@@ -234,7 +214,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
+    /// on [`Engine::new`]).
     pub fn with_runtime(mut self, runtime: Arc<Runtime>) -> Self {
         self.configure().runtime = runtime;
         self
@@ -249,17 +229,20 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]), or if the state directory cannot be
-    /// created or read — a serving engine must not come up silently
-    /// non-durable — or if its persisted plan cache is stale (see
-    /// [`Engine::try_with_state_dir`] for the typed variant).
+    /// on [`Engine::new`]), or wherever [`Engine::try_with_state_dir`]
+    /// returns an error — a serving engine must not come up silently
+    /// non-durable.
     pub fn with_state_dir(self, dir: impl Into<PathBuf>) -> Self {
         self.try_with_state_dir(dir)
             .expect("load state dir (use try_with_state_dir for a typed error)")
     }
 
-    /// [`Engine::with_state_dir`] with typed errors: a persisted plan
-    /// cache whose entries predate calibration generations (or were
+    /// [`Engine::with_state_dir`] with typed errors: a directory that
+    /// cannot be created or read fails with [`SessionError::Io`], a
+    /// malformed `plancache.json` or `calibration.json` with an
+    /// [`InvalidData`](std::io::ErrorKind::InvalidData) [`SessionError::Io`],
+    /// and an unparsable model with [`SessionError::Model`]. A persisted
+    /// plan cache whose entries predate calibration generations (or were
     /// hand-edited to drop them) is refused with
     /// [`OptimizerError::StalePlanCache`](ml4all_core::OptimizerError::StalePlanCache)
     /// instead of silently serving decisions whose pricing provenance is
@@ -268,44 +251,43 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]), or on unreadable state (I/O and
-    /// malformed-JSON problems stay panics: they mean the directory is
-    /// not a state dir at all).
+    /// on [`Engine::new`]).
     pub fn try_with_state_dir(mut self, dir: impl Into<PathBuf>) -> Result<Self, SessionError> {
         let dir = dir.into();
-        std::fs::create_dir_all(dir.join("checkpoints")).expect("create state dir");
-        std::fs::create_dir_all(dir.join("models")).expect("create state dir");
+        std::fs::create_dir_all(dir.join("checkpoints"))?;
+        std::fs::create_dir_all(dir.join("models"))?;
         let core = self.configure();
         // Rehydrate the plan cache: any persisted decision is served as a
         // hit by this engine, bit-identical to the engine that made it.
         let cache_path = dir.join("plancache.json");
         if let Ok(text) = std::fs::read_to_string(&cache_path) {
             let entries: Vec<PlanCacheEntry> =
-                serde_json::from_str(&text).expect("corrupt plancache.json in state dir");
+                serde_json::from_str(&text).map_err(|e| corrupt(&cache_path, e))?;
             core.plan_cache.import(entries)?;
         }
         // Rehydrate the model registry from `models/<hex-of-name>.txt`.
         let mut models = HashMap::new();
-        for entry in std::fs::read_dir(dir.join("models")).expect("read state dir") {
-            let path = entry.expect("read state dir").path();
+        for entry in std::fs::read_dir(dir.join("models"))? {
+            let path = entry?.path();
             let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
                 continue;
             };
             let Some(name) = unhex_name(stem) else {
                 continue;
             };
-            models.insert(
-                name,
-                Model::load(&path).expect("corrupt model in state dir"),
-            );
+            models.insert(name, Model::load(&path)?);
         }
         *core.models.get_mut().expect("model registry") = models;
         // A calibrator installed before the state dir reloads its
         // persisted profile now (the builders compose in any order).
         if let Some(cal) = &mut core.calibration {
-            if let Some(loaded) = Calibrator::load(&profile_path(&dir), CalibratorConfig::default())
-                .expect("corrupt calibration profile in state dir")
-            {
+            let path = profile_path(&dir);
+            let loaded =
+                Calibrator::load(&path, CalibratorConfig::default()).map_err(|e| match e {
+                    CalibrateError::Io(e) => SessionError::Io(e),
+                    malformed => corrupt(&path, malformed),
+                })?;
+            if let Some(loaded) = loaded {
                 *cal.get_mut().expect("calibrator") = loaded;
             }
         }
@@ -324,18 +306,14 @@ impl Engine {
     ///
     /// A cold calibrator (zero observations) is exactly the identity:
     /// decisions, keys, and weights are bit-identical to an uncalibrated
-    /// engine. Set `ML4ALL_NO_CALIBRATION=1` to pin the static model —
-    /// this builder becomes a no-op.
+    /// engine. Calibration stays off unless this builder is called.
     ///
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]), or if a persisted calibration
-    /// profile exists but cannot be parsed.
+    /// on [`Engine::new`]), or if a persisted calibration profile exists
+    /// but cannot be parsed.
     pub fn with_calibration(mut self) -> Self {
-        if std::env::var(ML4ALL_NO_CALIBRATION).as_deref() == Ok("1") {
-            return self;
-        }
         let core = self.configure();
         let config = CalibratorConfig::default();
         let calibrator = match &core.state_dir {
@@ -360,7 +338,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine is already shared (see the builder contract
-    /// on [`Engine::with_cluster`]).
+    /// on [`Engine::new`]).
     pub fn with_replanning(mut self, policy: ReplanPolicy) -> Self {
         self.configure().replan = Some(policy);
         self
@@ -409,11 +387,11 @@ impl Engine {
 
     /// Register an in-memory dataset under a name usable in queries.
     ///
-    /// The catalog is capped (see [`Engine::with_catalog_cap`]); when a
-    /// new registration exceeds the cap, the least-recently-used entry —
-    /// resolution and registration both count as uses, tracked by a
-    /// strict counter, so the order is deterministic — is evicted and
-    /// returned instead of being silently dropped.
+    /// The catalog holds [`SharedResolver::DEFAULT_CATALOG_CAP`] entries;
+    /// when a new registration exceeds the cap, the least-recently-used
+    /// entry — resolution and registration both count as uses, tracked
+    /// by a strict counter, so the order is deterministic — is evicted
+    /// and returned instead of being silently dropped.
     pub fn register_dataset(
         &self,
         name: impl Into<String>,
@@ -438,48 +416,31 @@ impl Engine {
     /// results are bit-identical to running the same requests
     /// sequentially. Tagged `"local"` in the [`Engine::jobs`] table.
     pub fn submit(&self, request: TrainRequest) -> JobHandle {
-        self.submit_tagged(request, LOCAL_TENANT)
+        let (sink, events) = ChannelSink::open();
+        JobHandle {
+            events,
+            ..self.submit_with_sink(request, LOCAL_TENANT, sink)
+        }
     }
 
-    /// [`Engine::submit`] under a tenant tag: the job is recorded against
-    /// `tenant` in the [`Engine::jobs`] table and dispatched through the
-    /// runtime's per-tenant fairness lane
+    /// Submit a training job under a tenant tag, its events pushed to
+    /// `sink`: `sink.event` fires per event and `sink.finished` once the
+    /// outcome is final, both on the worker thread running the job — so
+    /// a serving front end can fan events out to any number of observers
+    /// without parking a pump thread per job. The job is recorded
+    /// against `tenant` in the [`Engine::jobs`] table and dispatched
+    /// through the runtime's per-tenant fairness lane
     /// ([`Runtime::spawn_in_lane`]), so one tenant queueing a burst of
-    /// jobs cannot starve another tenant's submission. Results are
-    /// unaffected by the tag — execution is bit-identical either way.
-    pub fn submit_tagged(&self, request: TrainRequest, tenant: &str) -> JobHandle {
-        let (tx, rx) = mpsc::channel();
-        self.submit_inner(request, tenant, Arc::new(JobState::new(tx)), rx)
-    }
-
-    /// [`Engine::submit_tagged`] with the event stream routed to a
-    /// push-mode [`EventSink`](crate::EventSink) instead of the handle's
-    /// `progress()` channel: `sink.event` fires per event and
-    /// `sink.finished` once the outcome is final, both on the worker
-    /// thread running the job — so a serving front end can fan events
-    /// out to any number of observers without parking a pump thread per
-    /// job. The returned handle's `progress()` iterator is empty;
-    /// `cancel`/`join`/`wait` work unchanged. Execution is bit-identical
-    /// to [`Engine::submit`].
+    /// jobs cannot starve another tenant's submission. The returned
+    /// handle's `progress()` iterator is empty; `cancel`/`join`/`wait`
+    /// work unchanged. Execution is bit-identical to [`Engine::submit`].
     pub fn submit_with_sink(
         &self,
         request: TrainRequest,
         tenant: &str,
-        sink: Arc<dyn crate::EventSink>,
+        sink: Arc<dyn EventSink>,
     ) -> JobHandle {
-        // An inert receiver keeps the handle shape uniform; nothing is
-        // ever sent on it.
-        let (_tx, rx) = mpsc::channel();
-        self.submit_inner(request, tenant, Arc::new(JobState::with_sink(sink)), rx)
-    }
-
-    fn submit_inner(
-        &self,
-        request: TrainRequest,
-        tenant: &str,
-        state: Arc<JobState>,
-        rx: mpsc::Receiver<JobEvent>,
-    ) -> JobHandle {
+        let state = Arc::new(JobState::new(sink));
         let id = self.core.next_job.fetch_add(1, Ordering::Relaxed) + 1;
         {
             let mut jobs = self.core.jobs.lock().expect("engine job table");
@@ -525,15 +486,17 @@ impl Engine {
             }
             job.finish(outcome);
         });
+        // An inert receiver keeps the handle shape uniform; nothing is
+        // ever sent on it.
         JobHandle {
             id,
             state,
-            events: rx,
+            events: mpsc::channel().1,
         }
     }
 
     /// A snapshot of the engine's job table: every job submitted through
-    /// [`Engine::submit`] / [`Engine::submit_tagged`] with its id,
+    /// [`Engine::submit`] / [`Engine::submit_with_sink`] with its id,
     /// requested name, tenant tag, and current status, in submission
     /// order. Terminal records older than the history cap are pruned, so
     /// the snapshot is bounded on long-lived engines.
@@ -555,14 +518,44 @@ impl Engine {
     /// Train synchronously on the calling thread: the exact code path of
     /// [`Engine::submit`] without the job plumbing (bit-identical
     /// results), blocking until the model is bound.
+    ///
+    /// ```
+    /// use ml4all::{Engine, GradientKind, TrainRequest};
+    ///
+    /// # fn main() -> Result<(), ml4all::SessionError> {
+    /// let engine = Engine::new();
+    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
+    ///     .max_iter(25);
+    /// let trained = engine.train(request)?;
+    /// assert!(engine.model(&trained.name).is_some());
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn train(&self, request: TrainRequest) -> Result<Trained, SessionError> {
         run_train(&self.core, &request, None)
     }
 
     /// Run the cost-based optimizer for a training request and report the
-    /// full costed plan table without executing the winner. Served from
-    /// the plan cache when an identical decision was already made
+    /// full costed plan table — every enumerated plan with modelled cost,
+    /// estimated iterations, and per-operator platform mapping — without
+    /// executing the winner. The best row is exactly the plan
+    /// [`train`](Self::train) would execute for the same request. Served
+    /// from the plan cache when an identical decision was already made
     /// ([`OptimizerReport::cache_hit`] marks it).
+    ///
+    /// ```
+    /// use ml4all::{Engine, ExplainRequest, GradientKind, TrainRequest};
+    ///
+    /// # fn main() -> Result<(), ml4all::SessionError> {
+    /// let engine = Engine::new();
+    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
+    ///     .max_iter(25);
+    /// let report = engine.explain(ExplainRequest::new(request))?;
+    /// assert_eq!(report.choices.len(), 11);
+    /// println!("{}", ml4all::render_report(&report));
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn explain(&self, request: ExplainRequest) -> Result<OptimizerReport, SessionError> {
         let (config, data) = configured(&self.core, &request.train)?;
         let mut report = cached_choose(&self.core, &request.train, &config, &data, None)?;
@@ -634,6 +627,14 @@ impl Engine {
         model.save(&path)?;
         Ok(path)
     }
+}
+
+/// A state-dir file that exists but does not parse.
+fn corrupt(path: &std::path::Path, e: impl std::fmt::Display) -> SessionError {
+    SessionError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("{}: {e}", path.display()),
+    ))
 }
 
 fn bind_auto_name(core: &EngineCore) -> String {
@@ -1456,8 +1457,10 @@ mod tests {
     #[test]
     fn jobs_snapshot_reports_ids_tenants_and_statuses() {
         let engine = quick_engine();
-        let a = engine.submit_tagged(adult_request().named("A").seed(1), "tenant-a");
-        let b = engine.submit_tagged(adult_request().seed(2), "tenant-b");
+        let tagged =
+            |request, tenant| engine.submit_with_sink(request, tenant, ChannelSink::open().0);
+        let a = tagged(adult_request().named("A").seed(1), "tenant-a");
+        let b = tagged(adult_request().seed(2), "tenant-b");
         let c = engine.submit(adult_request().named("C").seed(3));
         assert!(a.id() < b.id() && b.id() < c.id(), "ids are monotonic");
         for handle in [&a, &b, &c] {
@@ -1480,18 +1483,60 @@ mod tests {
         c.join().unwrap();
     }
 
+    /// An [`EventSink`] that records every event, and at `finished`
+    /// whether the terminal event had already arrived.
+    #[derive(Default)]
+    struct Recorder {
+        events: Mutex<Vec<JobEvent>>,
+        finished_after_terminal: Mutex<Vec<bool>>,
+    }
+
+    impl EventSink for Recorder {
+        fn event(&self, event: JobEvent) {
+            self.events.lock().unwrap().push(event);
+        }
+
+        fn finished(&self, _outcome: &Result<Trained, SessionError>) {
+            let terminal = matches!(
+                self.events.lock().unwrap().last(),
+                Some(
+                    JobEvent::Completed { .. }
+                        | JobEvent::Cancelled { .. }
+                        | JobEvent::Failed { .. }
+                )
+            );
+            self.finished_after_terminal.lock().unwrap().push(terminal);
+        }
+    }
+
     #[test]
     fn tagged_submission_is_bit_identical_to_untagged() {
+        // One event route: a caller's sink under a tenant tag and the
+        // `progress()` channel of plain `submit` see the same stream.
+        let request = || adult_request().named("J").seed(3).progress_every(20);
         let tagged = quick_engine();
+        let recorder = Arc::new(Recorder::default());
+        let handle = tagged.submit_with_sink(request(), "tenant-x", recorder.clone());
+        let t = handle.join().unwrap();
+        assert_eq!(
+            *recorder.finished_after_terminal.lock().unwrap(),
+            [true],
+            "`finished` fires once, after the terminal event, before `join` returns"
+        );
+        let jobs = tagged.jobs();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].tenant, "tenant-x");
+
         let untagged = quick_engine();
-        let t = tagged
-            .submit_tagged(adult_request().named("J").seed(3), "tenant-x")
-            .join()
-            .unwrap();
-        let u = untagged
-            .submit(adult_request().named("J").seed(3))
-            .join()
-            .unwrap();
+        let handle = untagged.submit(request());
+        let events: Vec<JobEvent> = handle.progress().collect();
+        let u = handle.join().unwrap();
+        assert_eq!(untagged.jobs()[0].tenant, "local");
+
+        assert_eq!(
+            crate::render_trace(&recorder.events.lock().unwrap()),
+            crate::render_trace(&events)
+        );
         assert_eq!(t.summary.plan, u.summary.plan);
         assert_eq!(t.summary.iterations, u.summary.iterations);
         assert_eq!(
@@ -1643,11 +1688,17 @@ mod tests {
 
     #[test]
     fn catalog_eviction_surfaces_through_the_engine() {
-        let engine = Engine::new().with_catalog_cap(2);
-        assert!(engine.register_dataset("a", mem(20, 1)).is_none());
-        assert!(engine.register_dataset("b", mem(20, 2)).is_none());
-        let evicted = engine.register_dataset("c", mem(20, 3)).expect("at cap");
-        assert_eq!(evicted.name, "a");
+        let engine = Engine::new();
+        let cap = SharedResolver::DEFAULT_CATALOG_CAP as u64;
+        for seed in 0..cap {
+            assert!(engine
+                .register_dataset(format!("d{seed}"), mem(20, seed))
+                .is_none());
+        }
+        let evicted = engine
+            .register_dataset("over", mem(20, cap))
+            .expect("at cap");
+        assert_eq!(evicted.name, "d0");
         assert_eq!(evicted.dataset.physical_n(), 20);
     }
 
@@ -1720,13 +1771,40 @@ mod tests {
     }
 
     #[test]
-    fn the_no_calibration_pin_disables_the_builder() {
-        std::env::set_var(ML4ALL_NO_CALIBRATION, "1");
-        let pinned = quick_engine().with_calibration();
-        let disabled = pinned.calibration().is_none();
-        std::env::remove_var(ML4ALL_NO_CALIBRATION);
-        assert!(disabled, "ML4ALL_NO_CALIBRATION=1 pins the static model");
-        assert!(quick_engine().with_calibration().calibration().is_some());
+    fn a_corrupt_state_dir_is_refused_typed() {
+        let load = |name: &str, corrupt: &dyn Fn(&std::path::Path)| {
+            let dir = state_dir(name);
+            std::fs::create_dir_all(dir.join("models")).unwrap();
+            corrupt(&dir);
+            let result = quick_engine().with_calibration().try_with_state_dir(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            result.err().expect("corrupt state must be refused")
+        };
+        use std::io::ErrorKind::InvalidData;
+        let invalid_data =
+            |err: &SessionError| matches!(err, SessionError::Io(e) if e.kind() == InvalidData);
+
+        let err = load("bad-cache", &|dir| {
+            std::fs::write(dir.join("plancache.json"), "[{not json").unwrap()
+        });
+        assert!(invalid_data(&err), "{err:?}");
+        let err = load("bad-model", &|dir| {
+            let path = dir.join("models").join(format!("{}.txt", hex_name("M")));
+            std::fs::write(path, "not a model\n").unwrap()
+        });
+        assert!(matches!(err, SessionError::Model(_)), "{err:?}");
+        let err = load("bad-profile", &|dir| {
+            std::fs::write(profile_path(dir), "{not json").unwrap()
+        });
+        assert!(invalid_data(&err), "{err:?}");
+
+        // A plain file where the directory should be: nothing to create
+        // or read.
+        let path = state_dir("not-a-dir");
+        std::fs::write(&path, "").unwrap();
+        let err = quick_engine().try_with_state_dir(&path).err();
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(err, Some(SessionError::Io(_))), "{err:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cancellation (`cancel()`), and joins the final result (`join()`).
 
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use ml4all_dataflow::{CancelToken, CostBreakdown};
 use ml4all_gd::{GdPlan, StopReason};
@@ -187,23 +187,23 @@ pub struct JobInfo {
     /// The requested result name (`None` for auto-named requests).
     pub name: Option<String>,
     /// Tenant tag the job was submitted under
-    /// ([`Engine::submit_tagged`](crate::Engine::submit_tagged));
+    /// ([`Engine::submit_with_sink`](crate::Engine::submit_with_sink));
     /// plain [`Engine::submit`](crate::Engine::submit) tags `"local"`.
     pub tenant: String,
     /// Lifecycle state at snapshot time.
     pub status: JobStatus,
 }
 
-/// A push-mode consumer of a job's event stream, for callers (like a
-/// serving front end's reactor) that must not park a thread per job.
-///
-/// [`Engine::submit_with_sink`](crate::Engine::submit_with_sink) routes
-/// the job's events here instead of the [`JobHandle::progress`] channel.
-/// Both callbacks run **on the worker thread executing the job**, so
-/// they must be quick and must never block on the job itself (calling
-/// [`JobHandle::join`] from inside `event` would deadlock; from inside
-/// `finished` it would merely be redundant — the outcome is already in
-/// hand as an argument).
+/// The consumer of a job's event stream. Every job has exactly one:
+/// [`Engine::submit`](crate::Engine::submit) attaches the channel behind
+/// [`JobHandle::progress`], and
+/// [`Engine::submit_with_sink`](crate::Engine::submit_with_sink) attaches
+/// a caller's own (like a serving front end's reactor, which must not
+/// park a thread per job). Both callbacks run **on the worker thread
+/// executing the job**, so they must be quick and must never block on
+/// the job itself (calling [`JobHandle::join`] from inside `event` would
+/// deadlock; from inside `finished` it would merely be redundant — the
+/// outcome is already in hand as an argument).
 pub trait EventSink: Send + Sync + 'static {
     /// One progress event, in emission order. Terminal events
     /// (`Completed` / `Cancelled` / `Failed`) arrive here *before*
@@ -216,36 +216,46 @@ pub trait EventSink: Send + Sync + 'static {
     fn finished(&self, outcome: &Result<Trained, SessionError>);
 }
 
-/// Where a job's events go: the pull-mode channel behind
-/// [`JobHandle::progress`], or a push-mode [`EventSink`].
-enum EventRoute {
-    Channel(Option<Sender<JobEvent>>),
-    Sink(std::sync::Arc<dyn EventSink>),
+/// The pull-mode sink behind [`JobHandle::progress`]: every event goes
+/// down a channel, and `finished` drops the sender so iteration ends.
+pub(crate) struct ChannelSink(Mutex<Option<Sender<JobEvent>>>);
+
+impl ChannelSink {
+    /// The sink and the receiving end a [`JobHandle`] iterates.
+    pub(crate) fn open() -> (Arc<dyn EventSink>, Receiver<JobEvent>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (Arc::new(Self(Mutex::new(Some(tx)))), rx)
+    }
+}
+
+impl EventSink for ChannelSink {
+    fn event(&self, event: JobEvent) {
+        if let Some(tx) = &*self.0.lock().expect("job events") {
+            // A dropped handle only means nobody is listening.
+            let _ = tx.send(event);
+        }
+    }
+
+    fn finished(&self, _outcome: &Result<Trained, SessionError>) {
+        self.0.lock().expect("job events").take();
+    }
 }
 
 /// Shared state between a [`JobHandle`] and the worker running the job.
 pub(crate) struct JobState {
     pub(crate) cancel: CancelToken,
     status: Mutex<JobStatus>,
-    events: Mutex<EventRoute>,
+    sink: Arc<dyn EventSink>,
     outcome: Mutex<Option<Result<Trained, SessionError>>>,
     done: Condvar,
 }
 
 impl JobState {
-    pub(crate) fn new(events: Sender<JobEvent>) -> Self {
-        Self::with_route(EventRoute::Channel(Some(events)))
-    }
-
-    pub(crate) fn with_sink(sink: std::sync::Arc<dyn EventSink>) -> Self {
-        Self::with_route(EventRoute::Sink(sink))
-    }
-
-    fn with_route(route: EventRoute) -> Self {
+    pub(crate) fn new(sink: Arc<dyn EventSink>) -> Self {
         Self {
             cancel: CancelToken::new(),
             status: Mutex::new(JobStatus::Queued),
-            events: Mutex::new(route),
+            sink,
             outcome: Mutex::new(None),
             done: Condvar::new(),
         }
@@ -259,24 +269,13 @@ impl JobState {
         *self.status.lock().expect("job status")
     }
 
-    /// Send an event to the (possibly dropped) progress stream or the
-    /// attached push-mode sink.
+    /// Deliver one event to the job's sink.
     pub(crate) fn emit(&self, event: JobEvent) {
-        // Clone the sink out of the lock so a sink callback can never
-        // deadlock against another emitter.
-        let sink = match &*self.events.lock().expect("job events") {
-            EventRoute::Channel(Some(tx)) => {
-                let _ = tx.send(event);
-                return;
-            }
-            EventRoute::Channel(None) => return,
-            EventRoute::Sink(sink) => std::sync::Arc::clone(sink),
-        };
-        sink.event(event);
+        self.sink.event(event);
     }
 
-    /// Record the final outcome, set the terminal status, close the event
-    /// stream, and wake every joiner (then notify a push-mode sink).
+    /// Record the final outcome, set the terminal status, notify the
+    /// sink, and wake every joiner.
     pub(crate) fn finish(&self, outcome: Result<Trained, SessionError>) {
         let status = match &outcome {
             Ok(_) => JobStatus::Completed,
@@ -284,24 +283,11 @@ impl JobState {
             Err(_) => JobStatus::Failed,
         };
         self.set_status(status);
-        let sink = {
-            let mut events = self.events.lock().expect("job events");
-            match &mut *events {
-                // Dropping the sender ends `progress()` iteration.
-                EventRoute::Channel(tx) => {
-                    tx.take();
-                    None
-                }
-                EventRoute::Sink(sink) => Some(std::sync::Arc::clone(sink)),
-            }
-        };
         // Notify the sink before publishing the outcome, outside every
         // lock: a `finished` implementation can therefore take its own
         // locks freely, and anything it publishes is visible before
         // joiners wake.
-        if let Some(sink) = &sink {
-            sink.finished(&outcome);
-        }
+        self.sink.finished(&outcome);
         *self.outcome.lock().expect("job outcome") = Some(outcome);
         self.done.notify_all();
     }
@@ -333,7 +319,7 @@ impl JobState {
 /// ```
 pub struct JobHandle {
     pub(crate) id: u64,
-    pub(crate) state: std::sync::Arc<JobState>,
+    pub(crate) state: Arc<JobState>,
     pub(crate) events: Receiver<JobEvent>,
 }
 
@@ -380,11 +366,6 @@ impl JobHandle {
     /// trace).
     pub fn progress(&self) -> impl Iterator<Item = JobEvent> + '_ {
         self.events.iter()
-    }
-
-    /// Drain the events emitted so far without blocking.
-    pub fn drain_events(&self) -> Vec<JobEvent> {
-        self.events.try_iter().collect()
     }
 
     /// Block until the job finishes and return its result. A cancelled

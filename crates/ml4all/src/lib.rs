@@ -1,20 +1,21 @@
-//! The ML4all system facade: the paper's end-to-end user experience.
+//! The ML4all system facade: the paper's end-to-end user experience,
+//! behind one entry point, [`Engine`].
 //!
-//! The typed request API is the real interface — [`Session::train`],
-//! [`Session::predict`], and [`Session::explain`] accept
+//! The typed request API is the real interface — [`Engine::train`],
+//! [`Engine::predict`], and [`Engine::explain`] accept
 //! [`TrainRequest`]/[`PredictRequest`]/[`ExplainRequest`] values over a
 //! first-class [`DataSource`] (registered in-memory data, Table 2 registry
 //! analogs by name, or LIBSVM/CSV files with column selection):
 //!
 //! ```
-//! use ml4all::{DataSource, GradientKind, Session, TrainRequest};
+//! use ml4all::{DataSource, Engine, GradientKind, TrainRequest};
 //!
 //! # fn main() -> Result<(), ml4all::SessionError> {
-//! let session = Session::new();
+//! let engine = Engine::new();
 //! let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
 //!     .max_iter(25)
 //!     .named("Q1");
-//! let trained = session.train(request)?;
+//! let trained = engine.train(request)?;
 //! assert_eq!(trained.name, "Q1");
 //! assert!(trained.summary.iterations >= 1);
 //! # Ok(())
@@ -22,18 +23,18 @@
 //! ```
 //!
 //! The declarative statements of Appendix A are a thin front-end that
-//! lowers onto the same requests — [`Session::execute`] parses, lowers,
+//! lowers onto the same requests — [`Engine::execute`] parses, lowers,
 //! and dispatches, including the `explain` verb that reports the
 //! optimizer's full costed plan table instead of executing the winner:
 //!
 //! ```no_run
-//! use ml4all::Session;
+//! use ml4all::Engine;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let session = Session::new();
-//! session.execute("Q1 = run logistic() on train.txt having epsilon 0.01;")?;
-//! session.execute("persist Q1 on my_model.txt;")?;
-//! let out = session.execute("explain logistic() on train.txt having epsilon 0.01;")?;
+//! let engine = Engine::new();
+//! engine.execute("Q1 = run logistic() on train.txt having epsilon 0.01;")?;
+//! engine.execute("persist Q1 on my_model.txt;")?;
+//! let out = engine.execute("explain logistic() on train.txt having epsilon 0.01;")?;
 //! println!("{out:?}");
 //! # Ok(())
 //! # }
@@ -51,7 +52,7 @@ pub use explain::render_report;
 pub use job::{render_trace, EventSink, JobEvent, JobHandle, JobInfo, JobStatus};
 pub use model::{Model, ModelError};
 pub use request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
-pub use session::{Predictions, Session, SessionOutput, TrainSummary, Trained};
+pub use session::{Predictions, SessionOutput, TrainSummary, Trained};
 
 // The vocabulary the typed requests are written in, re-exported so facade
 // users need only the `ml4all` crate.
@@ -76,7 +77,7 @@ use ml4all_core::lang::Span;
 /// the offending token so the error can point at it.
 #[derive(Debug)]
 pub struct ParseError {
-    /// The statement as given to [`Session::execute`].
+    /// The statement as given to [`Engine::execute`].
     pub statement: String,
     /// Byte span of the offending token (empty at end of input).
     pub span: Span,
@@ -98,7 +99,7 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// Errors surfaced by the session layer, grouped by the stage that failed.
+/// Errors surfaced by the engine's verbs, grouped by the stage that failed.
 #[derive(Debug)]
 pub enum SessionError {
     /// The statement text is malformed ([`ParseError`] points at the
@@ -114,7 +115,7 @@ pub enum SessionError {
     /// Substrate failure.
     Dataflow(ml4all_dataflow::DataflowError),
     /// A result name the statement references is not bound in this
-    /// session.
+    /// engine.
     UnknownName(String),
     /// Model file problems.
     Model(ModelError),
@@ -230,8 +231,8 @@ mod tests {
     #[test]
     fn parse_errors_render_a_caret_under_the_token() {
         let src = "run classification on d.txt having zzz 1;";
-        let session = Session::new();
-        let err = session.execute(src).unwrap_err();
+        let engine = Engine::new();
+        let err = engine.execute(src).unwrap_err();
         let SessionError::Parse(parse) = &err else {
             panic!("expected Parse, got {err:?}");
         };
@@ -248,16 +249,16 @@ mod tests {
 
     #[test]
     fn end_of_input_errors_render_past_the_statement() {
-        let session = Session::new();
-        let err = session.execute("run classification").unwrap_err();
+        let engine = Engine::new();
+        let err = engine.execute("run classification").unwrap_err();
         let rendered = err.to_string();
         assert!(rendered.contains('^'), "{rendered}");
     }
 
     #[test]
     fn semantic_errors_stay_typed() {
-        let session = Session::new();
-        let err = session
+        let engine = Engine::new();
+        let err = engine
             .execute("run classification on adult having epsilon -1;")
             .unwrap_err();
         assert!(matches!(

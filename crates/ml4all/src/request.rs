@@ -19,7 +19,7 @@ use ml4all_gd::{GdVariant, GradientKind};
 use crate::Model;
 
 /// A typed training request: what `run` statements lower onto and what
-/// [`crate::Engine::submit`] / [`crate::Session::train`] consume directly.
+/// [`crate::Engine::submit`] / [`crate::Engine::train`] consume directly.
 #[derive(Debug, Clone)]
 pub struct TrainRequest {
     /// Where the training data comes from.

@@ -1,27 +1,19 @@
-//! The interactive session: a thin statement-language wrapper over the
-//! concurrent [`Engine`] — declarative statements in, trained models,
-//! predictions, and plan explanations out.
-//!
-//! Every verb delegates to the engine, so the Appendix A path, the CLI,
-//! and the examples all ride the same concurrent machinery (shared
-//! dataset catalog, plan cache, model registry) as programmatic
-//! [`Engine`] users. Statements execute synchronously; programs that want
-//! concurrency, progress streaming, or cancellation use
-//! [`Session::engine`] / [`Engine::submit`] directly.
+//! The declarative statement front end: [`Engine::execute`] parses one
+//! Appendix A statement, lowers it onto a typed request, and dispatches
+//! to the engine's `train` / `explain` / `persist` / `predict` verbs — so
+//! the CLI and the typed API share one dataset catalog, plan cache, and
+//! model registry. Also home to the result types those verbs return.
 
 use std::path::PathBuf;
 
 use ml4all_core::chooser::OptimizerReport;
-use ml4all_core::estimator::SpeculationConfig;
 use ml4all_core::lang::{parse_statement, train_spec, Query, RunQuery};
-use ml4all_dataflow::{ClusterSpec, PartitionedDataset, UsageMeter};
-use ml4all_datasets::catalog::EvictedDataset;
+use ml4all_dataflow::UsageMeter;
 use ml4all_datasets::csv::CsvColumns;
 use ml4all_datasets::source::DataSource;
 use ml4all_gd::GdPlan;
 
 use crate::engine::Engine;
-use crate::model::Model;
 use crate::request::{ExplainRequest, ModelRef, PredictRequest, TrainRequest};
 use crate::SessionError;
 
@@ -46,7 +38,7 @@ pub struct TrainSummary {
     pub usage: UsageMeter,
 }
 
-/// A bound training result: what [`Session::train`] returns.
+/// A bound training result: what [`Engine::train`] returns.
 #[derive(Debug, Clone)]
 pub struct Trained {
     /// The bound result name (explicit or generated).
@@ -55,7 +47,7 @@ pub struct Trained {
     pub summary: TrainSummary,
 }
 
-/// Scores over a test set: what [`Session::predict`] returns.
+/// Scores over a test set: what [`Engine::predict`] returns.
 #[derive(Debug, Clone)]
 pub struct Predictions {
     /// Per-point predictions, in input order.
@@ -91,84 +83,7 @@ pub enum SessionOutput {
     },
 }
 
-/// An ML4all session: the declarative statement front-end over a private
-/// [`Engine`].
-pub struct Session {
-    engine: Engine,
-}
-
-impl Default for Session {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Session {
-    /// A session on the paper's simulated testbed, reading data files
-    /// relative to the current directory.
-    pub fn new() -> Self {
-        Self::with_cluster(ClusterSpec::paper_testbed())
-    }
-
-    /// A session on a custom cluster.
-    pub fn with_cluster(cluster: ClusterSpec) -> Self {
-        Self {
-            engine: Engine::with_cluster(cluster),
-        }
-    }
-
-    /// Wrap an existing engine: statements and typed verbs share its
-    /// catalogs, plan cache, and model registry with every other holder.
-    ///
-    /// Configure the engine *before* wrapping a shared clone: the
-    /// session's `with_*` builders delegate to the engine's and therefore
-    /// panic on an engine that is already shared (see the builder
-    /// contract on [`Engine::with_cluster`]).
-    pub fn over(engine: Engine) -> Self {
-        Self { engine }
-    }
-
-    /// The engine behind this session — the concurrent API
-    /// ([`Engine::submit`], progress streaming, cancellation) over the
-    /// same state.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Resolve dataset paths relative to `dir`.
-    pub fn with_data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.engine = self.engine.with_data_dir(dir);
-        self
-    }
-
-    /// Override the speculation settings used by `run` statements.
-    pub fn with_speculation(mut self, speculation: SpeculationConfig) -> Self {
-        self.engine = self.engine.with_speculation(speculation);
-        self
-    }
-
-    /// Cap the physical rows materialized for registry analogs.
-    pub fn with_registry_cap(mut self, cap: usize) -> Self {
-        self.engine = self.engine.with_registry_cap(cap);
-        self
-    }
-
-    /// Register an in-memory dataset under a name usable in queries.
-    /// Returns the least-recently-used entry this registration evicted,
-    /// if the catalog was at capacity (see [`Engine::register_dataset`]).
-    pub fn register_dataset(
-        &self,
-        name: impl Into<String>,
-        data: PartitionedDataset,
-    ) -> Option<EvictedDataset> {
-        self.engine.register_dataset(name, data)
-    }
-
-    /// A previously-trained model by name.
-    pub fn model(&self, name: &str) -> Option<Model> {
-        self.engine.model(name)
-    }
-
+impl Engine {
     /// Execute one declarative statement: parse it and lower onto the
     /// typed [`train`](Self::train) / [`predict`](Self::predict) /
     /// [`explain`](Self::explain) / [`persist`](Self::persist) verbs.
@@ -202,60 +117,6 @@ impl Session {
             }
         }
     }
-
-    /// Train a model: run the cost-based optimizer over the request's
-    /// source, execute the winning plan, and bind the result.
-    ///
-    /// ```
-    /// use ml4all::{GradientKind, Session, TrainRequest};
-    ///
-    /// # fn main() -> Result<(), ml4all::SessionError> {
-    /// let session = Session::new();
-    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
-    ///     .max_iter(25);
-    /// let trained = session.train(request)?;
-    /// assert!(session.model(&trained.name).is_some());
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn train(&self, request: TrainRequest) -> Result<Trained, SessionError> {
-        self.engine.train(request)
-    }
-
-    /// Run the cost-based optimizer for a training request and report the
-    /// full costed plan table — every enumerated plan with modelled cost,
-    /// estimated iterations, and per-operator platform mapping — without
-    /// executing the winner. The best row is exactly the plan
-    /// [`train`](Self::train) would execute for the same request, and a
-    /// repeated request is served from the engine's plan cache
-    /// ([`OptimizerReport::cache_hit`]).
-    ///
-    /// ```
-    /// use ml4all::{ExplainRequest, GradientKind, Session, TrainRequest};
-    ///
-    /// # fn main() -> Result<(), ml4all::SessionError> {
-    /// let session = Session::new();
-    /// let request = TrainRequest::new(GradientKind::LogisticRegression, "adult")
-    ///     .max_iter(25);
-    /// let report = session.explain(ExplainRequest::new(request))?;
-    /// assert_eq!(report.choices.len(), 11);
-    /// println!("{}", ml4all::render_report(&report));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn explain(&self, request: ExplainRequest) -> Result<OptimizerReport, SessionError> {
-        self.engine.explain(request)
-    }
-
-    /// Score a dataset with a model.
-    pub fn predict(&self, request: PredictRequest) -> Result<Predictions, SessionError> {
-        self.engine.predict(request)
-    }
-
-    /// Persist the named result to a model file under the data dir.
-    pub fn persist(&self, name: &str, path: &str) -> Result<PathBuf, SessionError> {
-        self.engine.persist(name, path)
-    }
 }
 
 /// Lower a parsed `run` query to a typed [`TrainRequest`]. Language
@@ -283,6 +144,8 @@ fn lower_run(
 mod tests {
     use super::*;
     use crate::{GradientKind, SamplingMethod};
+    use ml4all_core::estimator::SpeculationConfig;
+    use ml4all_dataflow::{ClusterSpec, PartitionedDataset};
     use ml4all_datasets::synth::{dense_classification, DenseClassConfig};
     use ml4all_gd::GdVariant;
     use std::path::Path;
@@ -293,8 +156,8 @@ mod tests {
         dir
     }
 
-    fn quick_session(dir: &Path) -> Session {
-        Session::new()
+    fn quick_engine(dir: &Path) -> Engine {
+        Engine::new()
             .with_data_dir(dir)
             .with_speculation(SpeculationConfig {
                 sample_size: 300,
@@ -337,9 +200,9 @@ mod tests {
         let dir = tmp_dir("lifecycle");
         write_csv_dataset(&dir, "train.csv", 1200);
         write_csv_dataset(&dir, "test.csv", 300);
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
 
-        let out = session
+        let out = engine
             .execute("Q1 = run logistic() on train.csv having epsilon 0.01, max iter 2000;")
             .unwrap();
         let SessionOutput::Trained { name, summary } = out else {
@@ -348,13 +211,13 @@ mod tests {
         assert_eq!(name, "Q1");
         assert!(summary.iterations >= 1);
 
-        let out = session.execute("persist Q1 on model.txt;").unwrap();
+        let out = engine.execute("persist Q1 on model.txt;").unwrap();
         let SessionOutput::Persisted { path } = out else {
             panic!("expected Persisted");
         };
         assert!(path.exists());
 
-        let out = session
+        let out = engine
             .execute("result = predict on test.csv with model.txt;")
             .unwrap();
         let SessionOutput::Predicted(p) = out else {
@@ -367,8 +230,8 @@ mod tests {
     #[test]
     fn registry_names_resolve_as_datasets() {
         let dir = tmp_dir("registry");
-        let session = quick_session(&dir);
-        let out = session
+        let engine = quick_engine(&dir);
+        let out = engine
             .execute("run logistic() on adult having max iter 50;")
             .unwrap();
         let SessionOutput::Trained { name, .. } = out else {
@@ -383,11 +246,11 @@ mod tests {
         let dir = tmp_dir("byname");
         write_csv_dataset(&dir, "train.csv", 800);
         write_csv_dataset(&dir, "test.csv", 200);
-        let session = quick_session(&dir);
-        session
+        let engine = quick_engine(&dir);
+        engine
             .execute("M = run logistic() on train.csv having max iter 300;")
             .unwrap();
-        let out = session.execute("predict on test.csv with M;").unwrap();
+        let out = engine.execute("predict on test.csv with M;").unwrap();
         assert!(matches!(out, SessionOutput::Predicted(_)));
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -397,11 +260,11 @@ mod tests {
         // The PR-1 known gap: `predict on <registry-name> with M` now
         // works through the unified resolver.
         let dir = tmp_dir("predict-registry");
-        let session = quick_session(&dir);
-        session
+        let engine = quick_engine(&dir);
+        engine
             .execute("M = run logistic() on adult having max iter 200;")
             .unwrap();
-        let out = session.execute("predict on adult with M;").unwrap();
+        let out = engine.execute("predict on adult with M;").unwrap();
         let SessionOutput::Predicted(p) = out else {
             panic!("expected Predicted")
         };
@@ -413,13 +276,13 @@ mod tests {
     #[test]
     fn predict_resolves_registered_in_memory_datasets() {
         let dir = tmp_dir("predict-registered");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let data = in_memory_dataset(600, &ClusterSpec::paper_testbed());
-        session.register_dataset("mydata", data);
-        session
+        engine.register_dataset("mydata", data);
+        engine
             .execute("M = run logistic() on mydata having max iter 300;")
             .unwrap();
-        let out = session.execute("predict on mydata with M;").unwrap();
+        let out = engine.execute("predict on mydata with M;").unwrap();
         let SessionOutput::Predicted(p) = out else {
             panic!("expected Predicted")
         };
@@ -434,9 +297,9 @@ mod tests {
         // iterations, and platform mapping; the best row is the plan
         // `run` executes for the same query and seed.
         let dir = tmp_dir("explain");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let query = "logistic() on adult having epsilon 0.01, max iter 2000";
-        let out = session.execute(&format!("explain {query};")).unwrap();
+        let out = engine.execute(&format!("explain {query};")).unwrap();
         let SessionOutput::Explained { report } = out else {
             panic!("expected Explained")
         };
@@ -448,7 +311,7 @@ mod tests {
             assert!(choice.estimated_iterations >= 1);
             assert!(!choice.mapping.describe().is_empty());
         }
-        let out = session.execute(&format!("run {query};")).unwrap();
+        let out = engine.execute(&format!("run {query};")).unwrap();
         let SessionOutput::Trained { summary, .. } = out else {
             panic!("expected Trained")
         };
@@ -459,12 +322,12 @@ mod tests {
     #[test]
     fn repeated_statements_hit_the_plan_cache() {
         let dir = tmp_dir("statement-cache");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let query = "explain logistic() on adult having epsilon 0.01, max iter 500;";
-        let SessionOutput::Explained { report: cold } = session.execute(query).unwrap() else {
+        let SessionOutput::Explained { report: cold } = engine.execute(query).unwrap() else {
             panic!("expected Explained")
         };
-        let SessionOutput::Explained { report: warm } = session.execute(query).unwrap() else {
+        let SessionOutput::Explained { report: warm } = engine.execute(query).unwrap() else {
             panic!("expected Explained")
         };
         assert!(!cold.cache_hit);
@@ -476,9 +339,9 @@ mod tests {
     #[test]
     fn cluster_mapped_plans_route_through_the_simulated_backend() {
         let dir = tmp_dir("backend-routing");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         // svm1 declares 10 GB logical: every plan maps onto the cluster.
-        let trained = session
+        let trained = engine
             .train(TrainRequest::new(GradientKind::Svm, DataSource::registry("svm1")).max_iter(10))
             .unwrap();
         assert_eq!(trained.summary.backend, "simulated-cluster");
@@ -488,7 +351,7 @@ mod tests {
             trained.summary.usage
         );
         // adult fits one partition: pure-driver mapping stays local.
-        let trained = session
+        let trained = engine
             .train(
                 TrainRequest::new(
                     GradientKind::LogisticRegression,
@@ -505,7 +368,7 @@ mod tests {
     #[test]
     fn measured_explain_profiles_every_plan() {
         let dir = tmp_dir("measured-explain");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let request = || {
             TrainRequest::new(
                 GradientKind::LogisticRegression,
@@ -514,12 +377,12 @@ mod tests {
             .max_iter(15)
         };
         // Plain explain leaves the measured column empty...
-        let report = session.explain(ExplainRequest::new(request())).unwrap();
+        let report = engine.explain(ExplainRequest::new(request())).unwrap();
         assert!(report.choices.iter().all(|c| c.measured_s.is_none()));
         assert!(report.measured_best().is_none());
         // ...and the profiled form fills it for all 11 plans (also on a
         // plan-cache hit: measurement happens per request).
-        let report = session
+        let report = engine
             .explain(ExplainRequest::new(request()).measured(true))
             .unwrap();
         assert!(report.cache_hit);
@@ -531,7 +394,7 @@ mod tests {
         let rendered = crate::render_report(&report);
         assert!(rendered.contains("measured(s)"));
         // The `run` verb still executes the predicted argmin.
-        let trained = session.train(request()).unwrap();
+        let trained = engine.train(request()).unwrap();
         assert_eq!(trained.summary.plan, report.best().plan);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -541,7 +404,7 @@ mod tests {
         // The Section 8.3 fast path: a pure iteration budget needs no
         // speculative runs, in `train` and `explain` alike.
         let dir = tmp_dir("fixed-iterations");
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let request = || {
             TrainRequest::new(
                 GradientKind::LogisticRegression,
@@ -549,9 +412,9 @@ mod tests {
             )
             .max_iter(50)
         };
-        let trained = session.train(request()).unwrap();
+        let trained = engine.train(request()).unwrap();
         assert_eq!(trained.summary.speculation_s, 0.0);
-        let report = session.explain(ExplainRequest::new(request())).unwrap();
+        let report = engine.explain(ExplainRequest::new(request())).unwrap();
         assert!(report.estimates.is_empty());
         assert_eq!(report.speculation_sim_s, 0.0);
         assert!(report.choices.iter().all(|c| c.estimated_iterations <= 50));
@@ -562,13 +425,13 @@ mod tests {
     fn typed_predict_accepts_inline_models_and_sources() {
         let dir = tmp_dir("typed-predict");
         let cluster = ClusterSpec::paper_testbed();
-        let session = quick_session(&dir);
+        let engine = quick_engine(&dir);
         let data = in_memory_dataset(500, &cluster);
-        let trained = session
+        let trained = engine
             .train(TrainRequest::new(GradientKind::LogisticRegression, data.clone()).max_iter(200))
             .unwrap();
-        let model = session.model(&trained.name).unwrap();
-        let p = session.predict(PredictRequest::new(data, model)).unwrap();
+        let model = engine.model(&trained.name).unwrap();
+        let p = engine.predict(PredictRequest::new(data, model)).unwrap();
         assert_eq!(p.predictions.len(), 500);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -576,8 +439,8 @@ mod tests {
     #[test]
     fn typed_pins_restrict_the_chosen_plan() {
         let dir = tmp_dir("typed-pins");
-        let session = quick_session(&dir);
-        let trained = session
+        let engine = quick_engine(&dir);
+        let trained = engine
             .train(
                 TrainRequest::new(
                     GradientKind::LogisticRegression,
@@ -599,8 +462,8 @@ mod tests {
     #[test]
     fn persist_of_unknown_name_errors() {
         let dir = tmp_dir("unknown");
-        let session = quick_session(&dir);
-        let err = session.execute("persist Q9 on out.txt;").unwrap_err();
+        let engine = quick_engine(&dir);
+        let err = engine.execute("persist Q9 on out.txt;").unwrap_err();
         assert!(matches!(err, SessionError::UnknownName(_)));
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -608,8 +471,8 @@ mod tests {
     #[test]
     fn unresolvable_dataset_errors_as_source() {
         let dir = tmp_dir("unresolved");
-        let session = quick_session(&dir);
-        let err = session
+        let engine = quick_engine(&dir);
+        let err = engine
             .execute("run logistic() on missing.csv having max iter 10;")
             .unwrap_err();
         assert!(matches!(err, SessionError::Source(_)), "{err:?}");
@@ -627,8 +490,8 @@ mod tests {
             body.push_str(&format!("9,{label},7,{x},{}\n", -x));
         }
         std::fs::write(dir.join("cols.csv"), body).unwrap();
-        let session = quick_session(&dir);
-        let out = session
+        let engine = quick_engine(&dir);
+        let out = engine
             .execute("run logistic() on cols.csv:2, cols.csv:4-5 having max iter 500;")
             .unwrap();
         let SessionOutput::Trained { summary, .. } = out else {
@@ -652,27 +515,11 @@ mod tests {
             &points,
         )
         .unwrap();
-        let session = quick_session(&dir);
-        let out = session
+        let engine = quick_engine(&dir);
+        let out = engine
             .execute("run logistic() on train.libsvm having max iter 100;")
             .unwrap();
         assert!(matches!(out, SessionOutput::Trained { .. }));
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn sessions_share_engine_state_when_wrapping_one() {
-        let engine = Engine::new().with_speculation(SpeculationConfig {
-            sample_size: 200,
-            max_iterations: 1000,
-            ..SpeculationConfig::default()
-        });
-        let session = Session::over(engine.clone());
-        session
-            .execute("M = run logistic() on adult having max iter 50;")
-            .unwrap();
-        // The model bound by the statement is visible on the engine.
-        assert!(engine.model("M").is_some());
-        let _ = session;
     }
 }

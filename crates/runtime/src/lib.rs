@@ -110,11 +110,6 @@ impl Queues {
         }
         None
     }
-
-    /// Total queued detached jobs (for observability).
-    fn detached_len(&self) -> usize {
-        self.lanes.iter().map(|(_, q)| q.len()).sum()
-    }
 }
 
 struct Shared {
@@ -208,17 +203,6 @@ impl Runtime {
     /// Number of worker slots (1 means inline execution).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Detached jobs queued across all lanes and not yet picked up (0 for
-    /// the inline runtime, whose detached jobs start immediately on
-    /// dedicated threads). Snapshot for observability — stale by the time
-    /// the caller reads it.
-    pub fn detached_queued(&self) -> usize {
-        match &self.shared {
-            Some(shared) => shared.queue.lock().expect("runtime queue").detached_len(),
-            None => 0,
-        }
     }
 
     /// Apply `f` to every item of `items`, in parallel, returning results
@@ -670,7 +654,8 @@ mod tests {
         }
         push(&mut queues, "B", "B");
         push(&mut queues, "C", "C");
-        assert_eq!(queues.detached_len(), 6);
+        let queued = |queues: &Queues| queues.lanes.iter().map(|(_, q)| q.len()).sum::<usize>();
+        assert_eq!(queued(&queues), 6);
         while let Some(job) = queues.pop_detached() {
             job();
         }
@@ -679,7 +664,7 @@ mod tests {
             ["A", "B", "C", "A", "A", "A"],
             "each rotation serves every waiting lane once"
         );
-        assert_eq!(queues.detached_len(), 0);
+        assert_eq!(queued(&queues), 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
-use ml4all::{render_report, Engine, Runtime, Session, SessionOutput, RNG_STREAM_VERSION};
+use ml4all::{render_report, Engine, Runtime, SessionOutput, RNG_STREAM_VERSION};
 use ml4all_serve::{Client, ServeConfig, Server, TenantQuota, PROTOCOL_VERSION};
 
 fn main() {
@@ -69,11 +69,11 @@ fn main() {
         }
     }
 
-    let session = Session::new().with_data_dir(&data_dir);
+    let engine = Engine::new().with_data_dir(&data_dir);
 
     if !statements.is_empty() {
         for stmt in statements {
-            if !run_statement(&session, &stmt) {
+            if !run_statement(&engine, &stmt) {
                 std::process::exit(1);
             }
         }
@@ -106,7 +106,7 @@ fn main() {
                 continue;
             }
             _ => {
-                run_statement(&session, line);
+                run_statement(&engine, line);
             }
         }
     }
@@ -191,7 +191,10 @@ fn serve_main(mut args: std::iter::Peekable<impl Iterator<Item = String>>) {
         engine = engine.with_replanning(ml4all::ReplanPolicy::default());
     }
     if let Some(dir) = &state_dir {
-        engine = engine.with_state_dir(dir);
+        engine = engine.try_with_state_dir(dir).unwrap_or_else(|e| {
+            eprintln!("cannot load state dir {dir}: {e}");
+            std::process::exit(1);
+        });
     }
     if let Some(workers) = workers {
         engine = engine.with_runtime(Arc::new(Runtime::new(workers)));
@@ -321,8 +324,8 @@ fn parse_quota(spec: &str) -> Option<(String, TenantQuota)> {
     ))
 }
 
-fn run_statement(session: &Session, stmt: &str) -> bool {
-    match session.execute(stmt) {
+fn run_statement(engine: &Engine, stmt: &str) -> bool {
+    match engine.execute(stmt) {
         Ok(SessionOutput::Trained { name, summary }) => {
             println!(
                 "[{name}] trained with {}: {} iterations, {:.1} simulated s \
@@ -406,8 +409,8 @@ options:
   --state-dir DIR        durability root: plan cache, bound models, and job
                          checkpoints persist here and survive restarts
   --calibrate            online cost-model calibration: refit unit costs and
-                         residuals from measured jobs (profile persists under
-                         --state-dir; ML4ALL_NO_CALIBRATION=1 pins it off)
+                         residuals from measured jobs (off unless given;
+                         the profile persists under --state-dir)
   --replan               deterministic mid-flight replanning when observed
                          convergence diverges from the estimate
   --max-frame BYTES      frame payload cap (default 1 MiB)
